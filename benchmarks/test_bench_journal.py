@@ -18,6 +18,12 @@ Two acceptance bars from the crash-anywhere work:
    traceability stage's units must redo < 5% of them on resume.  Redone
    units are measured directly from the journal: replayed records are
    never re-appended, so the resumed process's appends ARE the redo set.
+
+3. **Per-unit cost independent of the world** — traceability and code
+   analysis journal one record per bot, and a record holds only what its
+   unit touched, so mean bytes per record at the bench scale must stay
+   within 1.25x of the figure at half the scale.  The same runs print the
+   two stages' wall journaled vs bare, at ``journal_fsync_every`` 1 and 64.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import repro
-from repro.core.checkpoint import STAGE_HONEYPOT, STAGE_TRACEABILITY
+from repro.core.checkpoint import STAGE_CODE, STAGE_HONEYPOT, STAGE_TRACEABILITY
 from repro.core.config import PipelineConfig
 from repro.core.crashpoints import ENV_CRASH_AT, EXIT_CODE
 from repro.core.journal import WriteAheadJournal
@@ -77,6 +84,45 @@ def test_journal_overhead_under_ten_percent(tmp_path) -> None:
     print(f"overhead={(journaled / baseline - 1.0) * 100:+.1f}% (ceiling {OVERHEAD_CEILING * 100:.0f}%)")
     assert journaled <= ceiling, (
         f"journaled honeypot stage took {journaled:.3f}s vs {baseline:.3f}s baseline"
+    )
+
+
+#: Mean traceability/code record bytes at the bench scale over half of it.
+RECORD_GROWTH_CEILING = 1.25
+
+
+def _unit_stages_wall(journal_path: str | None, fsync_every: int = 64, n_bots: int = JOURNAL_BENCH_SCALE) -> float:
+    """Traceability + code analysis wall for one run without the honeypot."""
+    config = replace(_config(journal_path, fsync_every), n_bots=n_bots, run_honeypot=False)
+    result = AssessmentPipeline(config).run()
+    return sum(result.metrics.stage(stage).wall_seconds for stage in (STAGE_TRACEABILITY, STAGE_CODE))
+
+
+def _mean_unit_record_bytes(path: Path) -> float:
+    sizes = [
+        len(line)
+        for line in path.read_bytes().splitlines()
+        if json.loads(line)["stage"] in (STAGE_TRACEABILITY, STAGE_CODE)
+    ]
+    return sum(sizes) / len(sizes)
+
+
+def test_unit_records_stay_flat_and_cheap(tmp_path) -> None:
+    bare = _unit_stages_wall(None)
+    durable = _unit_stages_wall(str(tmp_path / "fsync1.wal"), fsync_every=1)
+    batched = _unit_stages_wall(str(tmp_path / "fsync64.wal"), fsync_every=64)
+    print(
+        f"traceability+code at {JOURNAL_BENCH_SCALE} bots: bare={bare:.3f}s "
+        f"fsync_every=1 {durable:.3f}s ({durable / bare:.2f}x) "
+        f"fsync_every=64 {batched:.3f}s ({batched / bare:.2f}x)"
+    )
+    half = tmp_path / "half.wal"
+    _unit_stages_wall(str(half), n_bots=JOURNAL_BENCH_SCALE // 2)
+    small = _mean_unit_record_bytes(half)
+    large = _mean_unit_record_bytes(tmp_path / "fsync64.wal")
+    print(f"mean record bytes: {small:.0f} at {JOURNAL_BENCH_SCALE // 2} bots, {large:.0f} at {JOURNAL_BENCH_SCALE}")
+    assert large <= small * RECORD_GROWTH_CEILING, (
+        f"records grew {large / small:.2f}x when the population doubled"
     )
 
 

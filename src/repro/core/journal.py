@@ -23,8 +23,11 @@ Each unit record carries two things:
 1. the unit's *result* (a serialized verdict / analysis / page of bots);
 2. the *world-state delta* the unit caused — virtual clock, RNG streams,
    chaos schedule, circuit breakers, captcha accounts, server-side
-   middleware — captured by :class:`UnitTracker` with diff suppression
-   (only components that changed since the previous record are stored).
+   middleware, robots policies — captured by :class:`UnitTracker` in
+   proportion to what the unit touched: small components only when they
+   changed since the previous record, keyed components (hosts, breakers,
+   robots) only for the keys the unit marked, and Mersenne-Twister streams
+   as a position unless their key vector changed.
 
 Replaying a record therefore both re-emits the unit's result *and*
 fast-forwards the simulation to the exact state it held after that unit, so
@@ -38,8 +41,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -54,9 +59,23 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _digest(seq: int, stage: str, key: str, body: dict) -> str:
-    blob = _canonical({"seq": seq, "stage": stage, "key": key, "body": body})
+def _digest(seq: int, stage: str, key: str, body_text: str) -> str:
+    """sha256 of the canonical ``{"body", "key", "seq", "stage"}`` object,
+    spliced from an already-canonical body (keys in sorted order)."""
+    blob = f'{{"body":{body_text},"key":{_canonical(key)},"seq":{seq},"stage":{_canonical(stage)}}}'
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _encode_line(seq: int, stage: str, key: str, body: dict) -> bytes:
+    """The record's canonical JSONL line, serializing ``body`` exactly once.
+
+    Byte-identical to ``_canonical({...payload, "sha": ...}) + "\n"``: the
+    sorted key order is body, key, seq, sha, stage.
+    """
+    body_text = _canonical(body)
+    sha = _digest(seq, stage, key, body_text)
+    line = f'{{"body":{body_text},"key":{_canonical(key)},"seq":{seq},"sha":"{sha}","stage":{_canonical(stage)}}}\n'
+    return line.encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -95,6 +114,11 @@ class WriteAheadJournal:
     a journal can survive repeated crash/resume cycles without garbage
     accumulating mid-file.
 
+    The scan keeps no records, only an index of each valid record's
+    ``(seq, offset, length)`` per stage (24 bytes a record), extended by
+    every append; :meth:`pending` reads back and re-verifies just the lines
+    of the stage it is asked for.
+
     Durability rides through :class:`~repro.core.storage.DurableAppendFile`
     with a configurable fsync cadence.  ``fsync_every=1`` (the default)
     makes every record durable before ``append`` returns — the journal's
@@ -114,38 +138,47 @@ class WriteAheadJournal:
         self.fsync_every = fsync_every
         self._file = DurableAppendFile(self.path, label="journal", fsync_every=fsync_every)
         self._truncated = False
-        scanned, self._valid_bytes, dropped = self._scan()
-        self._next_seq = len(scanned) + 1
+        self._index: dict[str, array] = {}
+        count, self._valid_bytes, dropped = self._scan()
+        self._end = self._valid_bytes
+        self._next_seq = count + 1
         if dropped:
             self.stats.discarded += dropped
             self.discard_detail = (
-                f"discarded {dropped} invalid trailing record(s) after seq {len(scanned)}"
+                f"discarded {dropped} invalid trailing record(s) after seq {count}"
             )
 
     # -- reading -----------------------------------------------------------
 
-    def _scan(self) -> tuple[list[JournalRecord], int, int]:
+    def _scan(self) -> tuple[int, int, int]:
+        """Index the maximal valid prefix: ``(records, valid_bytes, dropped)``."""
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
-            return [], 0, 0
-        records: list[JournalRecord] = []
+            return 0, 0, 0
+        count = 0
         valid_bytes = 0
         offset = 0
         while offset < len(raw):
             newline = raw.find(b"\n", offset)
             if newline < 0:
                 break  # unterminated line: a torn append — stop here
-            line = raw[offset:newline]
-            record = self._decode(line, expected_seq=len(records) + 1)
+            record = self._decode(raw[offset:newline], expected_seq=count + 1)
             if record is None:
                 break
-            records.append(record)
+            count += 1
+            self._remember(record.seq, record.stage, offset, newline + 1 - offset)
             offset = newline + 1
             valid_bytes = offset
         remainder = raw[valid_bytes:]
         dropped = sum(1 for piece in remainder.split(b"\n") if piece.strip())
-        return records, valid_bytes, dropped
+        return count, valid_bytes, dropped
+
+    def _remember(self, seq: int, stage: str, offset: int, length: int) -> None:
+        entries = self._index.get(stage)
+        if entries is None:
+            entries = self._index[stage] = array("q")
+        entries.extend((seq, offset, length))
 
     @staticmethod
     def _decode(line: bytes, expected_seq: int) -> JournalRecord | None:
@@ -165,21 +198,38 @@ class WriteAheadJournal:
             return None
         if seq != expected_seq or not isinstance(body, dict):
             return None
-        if sha != _digest(seq, stage, key, body):
+        if sha != _digest(seq, stage, key, _canonical(body)):
             return None
         return JournalRecord(seq=seq, stage=stage, key=key, body=body)
 
     def pending(self, stage: str) -> list[JournalRecord]:
         """Replayable records for ``stage``, in append order.
 
-        Scans the file on demand rather than keeping an in-RAM copy of
-        every append: replay happens once per stage open while appends
-        happen per unit, so the scan cost lands on the rare path and the
-        hot path stays O(1) memory over a million-bot run.
+        Reads only the stage's indexed lines (one contiguous read spanning
+        them) and re-verifies each, so the cost is the stage's records, not
+        the file.  A line that no longer verifies — the disk changed under
+        an open journal — ends the stage's replay there, and the records
+        from it on are counted as discarded.
         """
+        entries = self._index.get(stage)
+        if not entries:
+            return []
         self._file.flush()
-        records, _, _ = self._scan()
-        return [record for record in records if record.stage == stage]
+        first = entries[1]
+        with open(self.path, "rb") as handle:
+            handle.seek(first)
+            raw = handle.read(entries[-2] + entries[-1] - first)
+        records: list[JournalRecord] = []
+        for index in range(0, len(entries), 3):
+            seq, offset, length = entries[index : index + 3]
+            start = offset - first
+            line = raw[start : start + length]
+            record = self._decode(line[:-1], expected_seq=seq) if line.endswith(b"\n") else None
+            if record is None or record.stage != stage:
+                self.stats.discarded += (len(entries) - index) // 3
+                break
+            records.append(record)
+        return records
 
     # -- writing -----------------------------------------------------------
 
@@ -190,14 +240,7 @@ class WriteAheadJournal:
         the injection harness can manufacture a genuinely torn tail.
         """
         record = JournalRecord(seq=self._next_seq, stage=stage, key=key, body=body)
-        payload = {
-            "seq": record.seq,
-            "stage": stage,
-            "key": key,
-            "body": body,
-            "sha": _digest(record.seq, stage, key, body),
-        }
-        line = (_canonical(payload) + "\n").encode("utf-8")
+        line = _encode_line(record.seq, stage, key, body)
         # Truncate the invalid tail exactly once per process: records
         # appended after the first open extend past ``_valid_bytes``
         # and must survive a close/reopen cycle.
@@ -210,6 +253,8 @@ class WriteAheadJournal:
         crashpoint("journal.mid_append")
         self._file.write(line[half:])
         self._file.commit()
+        self._remember(record.seq, stage, self._end, len(line))
+        self._end += len(line)
         self._next_seq += 1
         self.stats.appended += 1
         return record
@@ -226,18 +271,60 @@ class WriteAheadJournal:
 # World-state capture
 # ---------------------------------------------------------------------------
 
-#: Component name -> (capture, restore) factories over the tracked objects.
+#: Component name -> (capture, restore) over a small tracked object.
 _Component = tuple[Callable[[], dict], Callable[[dict], None]]
+
+#: Words in a Mersenne-Twister key vector (``getstate()[1]`` is the key
+#: plus the position index).
+_MT_WORDS = 624
+
+
+@dataclass(frozen=True)
+class _Keyed:
+    """A per-key component: ``owner.touched`` collects the keys it mutates."""
+
+    owner: Any
+    capture: Callable[[str], dict | None]  # one key's state; None: gone
+    merge: Callable[[dict], None]  # restore the keys named, keep the rest
+
+
+def _is_mt_state(value: Any) -> bool:
+    """Whether ``value`` is a :func:`~repro.web.network.rng_state` list."""
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and isinstance(value[1], list)
+        and len(value[1]) == _MT_WORDS + 1
+    )
 
 
 class UnitTracker:
     """Captures the world-state delta one unit of stage work produces.
 
-    Absolute components (RNG streams, breaker states, middleware counters…)
-    are diff-suppressed: a unit's record stores only the components whose
-    canonical serialization changed since the previous record.  Append-only
-    components (captcha solve history, fault ledger, quarantine log) are
-    stored as the records appended during the unit.
+    The cost of a unit is proportional to what it touched, not to the size
+    of the world:
+
+    * **Small components** (transport counters, chaos schedule, retry
+      budget, captcha account, scraper stats and cookies) are diffed
+      against their previous capture and stored whole when they changed.
+    * **Keyed components** — the internet's hosts, the circuit breakers
+      and the scraper's robots cache — grow with every host a run meets.
+      Each marks the keys it mutates in its ``touched`` set, and a record
+      stores only those keys (a host that left the registry, such as a
+      dynamic-host LRU eviction, as ``None``).  Replay merges them into the
+      existing state.
+    * **RNG streams** (every ``rng`` entry of either kind of state) are
+      stored as position deltas: while the 624-word Mersenne-Twister key
+      equals the previous record's, a record holds only ``{"pos",
+      "gauss"}``.  The full key is stored after a twist or a reseed, and
+      the first time a keyed entry's stream is captured in a stage.
+    * **Append-only components** (captcha solve history, fault ledger,
+      quarantine log) are stored as the records appended during the unit.
+
+    Both the writing and the replaying tracker start from the same
+    stage-start world, so both seed the small components' baselines (and
+    their RNG keys) from a capture at construction; keyed components are
+    never captured whole.
     """
 
     def __init__(
@@ -252,30 +339,42 @@ class UnitTracker:
         scraper=None,
     ) -> None:
         self._clock = clock
-        self._internet = internet
         self._ledger = ledger
         self._quarantines = quarantines
         self._solver = solver
-        self._components: dict[str, _Component] = {}
-        self._register("internet", internet.state_dict, internet.restore_state)
+        self._components: dict[str, _Component] = {"internet": (internet.state_dict, internet.restore_state)}
         chaos = getattr(internet, "chaos", None)
         if chaos is not None:
-            self._register("chaos", chaos.state_dict, chaos.restore_state)
-        self._register("hosts", lambda: _hosts_state(internet), lambda state: _restore_hosts(internet, state))
-        if breakers is not None:
-            self._register("breakers", breakers.state_dict, breakers.restore_state)
+            self._components["chaos"] = (chaos.state_dict, chaos.restore_state)
         if budget is not None:
-            self._register("budget", budget.state_dict, budget.restore_state)
+            self._components["budget"] = (budget.state_dict, budget.restore_state)
         if solver is not None:
-            self._register("solver", solver.state_dict, solver.restore_state)
+            self._components["solver"] = (solver.state_dict, solver.restore_state)
         if scraper is not None:
-            self._register("scraper", scraper.state_dict, scraper.restore_state)
-        self._last: dict[str, str] = {name: _canonical(capture()) for name, (capture, _) in self._components.items()}
+            self._components["scraper"] = (scraper.state_dict, scraper.restore_state)
+        # Looked up per call: an internet that never touches a host need not offer host_state.
+        hosts = _Keyed(internet, lambda hostname: internet.host_state(hostname), partial(_merge_hosts, internet))
+        self._keyed = {"hosts": hosts}
+        if breakers is not None:
+            self._keyed["breakers"] = _Keyed(breakers, breakers.breaker_state, breakers.restore_state)
+        if scraper is not None:
+            self._keyed["robots"] = _Keyed(scraper.robots, scraper.robots.policy_state, scraper.robots.restore_state)
+        #: RNG path -> (version, key words) last stored or restored.
+        self._rng_keys: dict[str, tuple[int, list]] = {}
+        #: Small component -> its last packed state (what diffs compare).
+        self._last: dict[str, dict] = {}
+        for name, (capture, _) in self._components.items():
+            state = capture()
+            self._pack(name, state)  # learn the stage-start keys first
+            self._last[name] = self._pack(name, state)
+        self._drain()
         self._marks: dict[str, int] = {}
         self.begin_unit()
 
-    def _register(self, name: str, capture: Callable[[], dict], restore: Callable[[dict], None]) -> None:
-        self._components[name] = (capture, restore)
+    def _drain(self) -> None:
+        """Start every keyed component's touched set afresh."""
+        for keyed in self._keyed.values():
+            keyed.owner.touched = set()
 
     def begin_unit(self) -> None:
         """Mark the append-only components before a live unit runs.
@@ -305,11 +404,18 @@ class UnitTracker:
                 body["solves"] = [vars(record).copy() for record in solves]
         changed: dict[str, dict] = {}
         for name, (capture, _) in self._components.items():
-            state = capture()
-            blob = _canonical(state)
-            if self._last.get(name) != blob:
-                changed[name] = state
-                self._last[name] = blob
+            packed = self._pack(name, capture())
+            if packed != self._last[name]:
+                self._last[name] = changed[name] = packed
+        for name, keyed in self._keyed.items():
+            touched = keyed.owner.touched
+            if touched:
+                keyed.owner.touched = set()
+                delta = {}
+                for key in touched:
+                    state = keyed.capture(key)
+                    delta[key] = None if state is None else self._pack(f"{name}/{key}", state)
+                changed[name] = delta
         if changed:
             body["state"] = changed
         return body
@@ -324,12 +430,67 @@ class UnitTracker:
         if self._solver is not None:
             for payload in body.get("solves", ()):
                 self._solver.history.append(SolveRecord(**payload))
-        for name, state in body.get("state", {}).items():
-            entry = self._components.get(name)
-            if entry is not None:
-                entry[1](state)
-                self._last[name] = _canonical(state)
+        for name, payload in body.get("state", {}).items():
+            if name in self._components:
+                self._components[name][1](self._unpack(name, payload))
+                self._last[name] = payload
+            elif name in self._keyed:
+                self._keyed[name].merge({
+                    key: None if state is None else self._unpack(f"{name}/{key}", state)
+                    for key, state in payload.items()
+                })
+        self._drain()  # restores touch what they set; that is not a change
         self.begin_unit()
+
+    # -- RNG position deltas ---------------------------------------------------
+
+    def _pack(self, path: str, state: dict) -> dict:
+        """``state`` with each unchanged-key ``rng`` entry as ``{"pos", "gauss"}``.
+
+        Learns every full key it keeps; never mutates ``state``.
+        """
+        packed = state
+        for name, value in state.items():
+            if isinstance(value, dict):
+                inner = self._pack(f"{path}/{name}", value)
+            elif name == "rng" and _is_mt_state(value):
+                inner = self._pack_rng(f"{path}/{name}", value)
+            else:
+                continue
+            if inner is not value:
+                if packed is state:
+                    packed = dict(state)
+                packed[name] = inner
+        return packed
+
+    def _pack_rng(self, path: str, value: list) -> Any:
+        version, words, gauss = value
+        key = words[:_MT_WORDS]
+        known = self._rng_keys.get(path)
+        if known is not None and known[0] == version and known[1] == key:
+            return {"pos": words[_MT_WORDS], "gauss": gauss}
+        self._rng_keys[path] = (version, key)
+        return value
+
+    def _unpack(self, path: str, state: dict) -> dict:
+        """Inverse of :meth:`_pack` against the keys learnt so far."""
+        unpacked = state
+        for name, value in state.items():
+            child = f"{path}/{name}"
+            if not isinstance(value, dict):
+                if name == "rng" and _is_mt_state(value):
+                    self._rng_keys[child] = (value[0], value[1][:_MT_WORDS])
+                continue
+            if name == "rng":
+                version, key = self._rng_keys[child]
+                inner = [version, key + [value["pos"]], value["gauss"]]
+            else:
+                inner = self._unpack(child, value)
+            if inner is not value:
+                if unpacked is state:
+                    unpacked = dict(state)
+                unpacked[name] = inner
+        return unpacked
 
 
 class StageRecorder:
@@ -418,7 +579,7 @@ def restore_world_state(clock, internet, solver, breakers, payload: dict) -> Non
     clock.restore(payload["clock"])
     internet.restore_state(payload["internet"])
     solver.restore_state(payload["solver"])
-    _restore_hosts(internet, payload.get("hosts", {}))
+    _merge_hosts(internet, payload.get("hosts", {}))
     breakers.restore_state(payload.get("breakers", {}))
     chaos = getattr(internet, "chaos", None)
     if chaos is not None and "chaos" in payload:
@@ -428,15 +589,18 @@ def restore_world_state(clock, internet, solver, breakers, payload: dict) -> Non
 def _hosts_state(internet) -> dict:
     states: dict[str, dict] = {}
     for hostname in internet.hostnames():
-        state = internet.host(hostname).state_dict()
+        state = internet.host_state(hostname)
         if state:
             states[hostname] = state
     return states
 
 
-def _restore_hosts(internet, states: dict) -> None:
-    for hostname, state in states.items():
-        if internet.knows(hostname):
+def _merge_hosts(internet, delta: dict) -> None:
+    """Restore the resident hosts named in ``delta``; drop gone (None) ones."""
+    for hostname, state in delta.items():
+        if state is None:
+            internet.unregister(hostname)
+        elif internet.knows(hostname):
             internet.host(hostname).restore_state(state)
 
 

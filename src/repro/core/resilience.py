@@ -151,9 +151,16 @@ class CircuitBreakerRegistry:
         self.recovery_time = recovery_time
         self.half_open_successes = half_open_successes
         self._breakers: dict[str, CircuitBreaker] = {}
+        #: Hosts whose breaker was handed out (and so may have changed)
+        #: since a journal tracker last drained the set; ``None`` while
+        #: nothing tracks them.  Short-circuits count here too: they
+        #: change a breaker without any exchange taking place.
+        self.touched: set[str] | None = None
 
     def breaker(self, host: str) -> CircuitBreaker:
         key = host.lower()
+        if self.touched is not None:
+            self.touched.add(key)
         found = self._breakers.get(key)
         if found is None:
             found = CircuitBreaker(
@@ -180,7 +187,13 @@ class CircuitBreakerRegistry:
     def state_dict(self) -> dict:
         return {host: breaker.state_dict() for host, breaker in self._breakers.items()}
 
+    def breaker_state(self, host: str) -> dict | None:
+        """One host's breaker state (None if it never had a breaker)."""
+        found = self._breakers.get(host)
+        return found.state_dict() if found is not None else None
+
     def restore_state(self, state: dict) -> None:
+        """Merge per-host breaker states; hosts not named keep theirs."""
         for host, payload in state.items():
             self.breaker(host).restore_state(payload)
 

@@ -114,20 +114,21 @@ class PoliteScraper:
         self._rng = random.Random(self.config.seed)
         from repro.scraper.robots import RobotsCache
 
-        self._robots = RobotsCache()
+        #: Keyed per host; journal trackers capture it separately from
+        #: :meth:`state_dict`, one inserted host at a time.
+        self.robots = RobotsCache()
 
     # -- resume support --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Order-coupled scraper state (think-time RNG, stats, robots,
-        cookies) for journal capture.  The solver and breakers are shared
-        objects captured separately by the tracker."""
+        """Order-coupled scraper state (think-time RNG, stats, cookies) for
+        journal capture.  The solver and breakers are shared objects, and
+        :attr:`robots` a keyed cache, all captured separately by the tracker."""
         from repro.web.network import rng_state
 
         return {
             "rng": rng_state(self._rng),
             "stats": vars(self.stats).copy(),
-            "robots": self._robots.state_dict(),
             "cookies": self.browser.client.cookies.state_dict(),
             "requests_sent": self.browser.client.requests_sent,
             "generation": self.browser._generation,
@@ -139,7 +140,6 @@ class PoliteScraper:
         restore_rng(self._rng, state["rng"])
         for name, value in state["stats"].items():
             setattr(self.stats, name, value)  # in place: CrawlResult may hold a reference
-        self._robots.restore_state(state["robots"])
         self.browser.client.cookies.restore_state(state["cookies"])
         self.browser.client.requests_sent = state["requests_sent"]
         self.browser._generation = state["generation"]
@@ -163,7 +163,7 @@ class PoliteScraper:
             self._await_circuit(host)
         extra_delay = 0.0
         if self.config.respect_robots and parsed.is_absolute:
-            policy = self._robots.policy_for(self.browser.client, host)
+            policy = self.robots.policy_for(self.browser.client, host)
             if not policy.allows(parsed.path):
                 raise RobotsDisallowedError(f"robots.txt disallows {parsed.path} on {host}")
             extra_delay = policy.crawl_delay

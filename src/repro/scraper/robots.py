@@ -58,26 +58,33 @@ class RobotsCache:
     """Per-host robots policies, fetched lazily through an HTTP client."""
 
     _policies: dict[str, RobotsPolicy] = field(default_factory=dict)
+    #: Hosts inserted since a journal tracker last drained the set;
+    #: ``None`` while nothing tracks them.  Policies are never mutated
+    #: after insertion, so inserts are the only changes.
+    touched: set[str] | None = field(default=None, compare=False, repr=False)
 
     def state_dict(self) -> dict:
+        return {host: self.policy_state(host) for host in self._policies}
+
+    def policy_state(self, host: str) -> dict | None:
+        """One host's serialized policy (None if never fetched)."""
+        policy = self._policies.get(host)
+        if policy is None:
+            return None
         return {
-            host: {
-                "crawl_delay": policy.crawl_delay,
-                "disallowed": list(policy.disallowed_prefixes),
-                "fetched": policy.fetched,
-            }
-            for host, policy in self._policies.items()
+            "crawl_delay": policy.crawl_delay,
+            "disallowed": list(policy.disallowed_prefixes),
+            "fetched": policy.fetched,
         }
 
     def restore_state(self, state: dict) -> None:
-        self._policies = {
-            host: RobotsPolicy(
+        """Merge ``state``'s hosts into the cache; hosts not named keep theirs."""
+        for host, payload in state.items():
+            self._policies[host] = RobotsPolicy(
                 crawl_delay=payload["crawl_delay"],
                 disallowed_prefixes=tuple(payload["disallowed"]),
                 fetched=payload["fetched"],
             )
-            for host, payload in state.items()
-        }
 
     def policy_for(self, client, host: str) -> RobotsPolicy:
         """Return (fetching once if needed) the policy for ``host``."""
@@ -93,4 +100,6 @@ class RobotsCache:
         else:
             policy = parse_robots_txt(response.body) if response.ok else RobotsPolicy(fetched=True)
         self._policies[host] = policy
+        if self.touched is not None:
+            self.touched.add(host)
         return policy

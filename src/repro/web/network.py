@@ -190,6 +190,10 @@ class VirtualInternet:
         self.exchanges_completed = 0
         self.exchanges_failed = 0
         self.chaos: "FaultSchedule | None" = None
+        #: Hostnames whose entry may have changed (exchanged with, handed
+        #: out by :meth:`host`, registered or evicted) since a journal
+        #: tracker last drained the set; ``None`` while nothing tracks them.
+        self.touched: set[str] | None = None
 
     @property
     def exchanges_total(self) -> int:
@@ -207,6 +211,7 @@ class VirtualInternet:
         key = hostname.lower()
         self._hosts[key] = _HostEntry(host, conditions or HostConditions())
         self._dynamic_hosts.pop(key, None)
+        self._touch(key)
 
     def register_resolver(self, resolver: Callable[[str], "VirtualHost | None"], limit: int | None = None) -> None:
         """Install an on-demand host factory consulted for unknown hostnames.
@@ -223,8 +228,14 @@ class VirtualInternet:
             self.dynamic_host_limit = max(limit, 1)
 
     def unregister(self, hostname: str) -> None:
-        self._hosts.pop(hostname.lower(), None)
-        self._dynamic_hosts.pop(hostname.lower(), None)
+        key = hostname.lower()
+        self._hosts.pop(key, None)
+        self._dynamic_hosts.pop(key, None)
+        self._touch(key)
+
+    def _touch(self, hostname: str) -> None:
+        if self.touched is not None:
+            self.touched.add(hostname)
 
     def _entry_for(self, hostname: str) -> "_HostEntry | None":
         """Look up ``hostname``, consulting resolvers for unknown hosts."""
@@ -243,6 +254,7 @@ class VirtualInternet:
             while len(self._dynamic_hosts) > self.dynamic_host_limit:
                 cold, _ = self._dynamic_hosts.popitem(last=False)
                 self._hosts.pop(cold, None)
+                self._touch(cold)
             return entry
         return None
 
@@ -250,10 +262,13 @@ class VirtualInternet:
         return hostname.lower() in self._hosts
 
     def host(self, hostname: str) -> "VirtualHost":
+        key = hostname.lower()
         try:
-            return self._hosts[hostname.lower()].host
+            entry = self._hosts[key]
         except KeyError:
             raise UnknownHostError(hostname) from None
+        self._touch(key)  # the caller may mutate what it is handed
+        return entry.host
 
     def conditions(self, hostname: str) -> HostConditions:
         try:
@@ -263,6 +278,15 @@ class VirtualInternet:
 
     def hostnames(self) -> list[str]:
         return sorted(self._hosts)
+
+    def host_state(self, hostname: str) -> dict | None:
+        """A resident host's ``state_dict()`` (None if not registered).
+
+        A read-only look: unlike :meth:`host`, it does not mark the host
+        touched.
+        """
+        entry = self._hosts.get(hostname.lower())
+        return entry.host.state_dict() if entry is not None else None
 
     # -- observation -------------------------------------------------------
 
@@ -295,6 +319,7 @@ class VirtualInternet:
         entry = self._entry_for(hostname)
         if entry is None:
             raise UnknownHostError(hostname or "<empty-host>")
+        self._touch(hostname)
         latency = entry.conditions.sample_latency(self._rng)
         if self.chaos is not None:
             latency += self.chaos.extra_latency(hostname, self.clock.now())
