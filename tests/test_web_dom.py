@@ -19,7 +19,7 @@ SAMPLE = """
       <a class="nav-link" href="/privacy">Privacy Policy</a>
     </div>
   </div>
-  <footer><p>© 2022</p></footer>
+  <footer><p>© 2022</p><span id="note" title="a b" data-x="a,b" data-rule="x>y">note</span></footer>
 </body></html>
 """
 
@@ -87,7 +87,14 @@ class TestSelectors:
         assert len(doc.select("a[rel]")) == 2
 
     def test_attribute_equals(self, doc):
-        assert doc.select_one("a[rel=github]").id == "github-link"
+        cases = {
+            "a[rel=github]": "github-link",
+            'span[title="a b"]': "note",
+            'span[data-x="a,b"]': "note",
+            "span[data-rule='x>y']": "note",
+        }
+        for selector, expected_id in cases.items():
+            assert [node.id for node in doc.select(selector)] == [expected_id], selector
 
     def test_attribute_prefix(self, doc):
         assert doc.select_one('a[href^="https://github"]').id == "github-link"
@@ -97,6 +104,16 @@ class TestSelectors:
 
     def test_attribute_suffix(self, doc):
         assert doc.select_one('a[href$="/privacy"]').text == "Privacy Policy"
+
+    def test_attribute_dash_match(self):
+        doc = parse_html('<p lang="fr">1</p><p lang="en">2</p><p lang="en-US">3</p><p lang="english">4</p>')
+        assert [node.text for node in doc.select("p[lang|=en]")] == ["2", "3"]
+        assert doc.select('p[lang|="fr"]')[0].text == "1"
+
+    @pytest.mark.parametrize("selector", ["p[lang!=en]", "p[lang==en]", "p[lang%=en]"])
+    def test_unknown_attribute_operator_raises(self, doc, selector):
+        with pytest.raises(ValueError):
+            doc.select(selector)
 
     def test_descendant_combinator(self, doc):
         assert len(doc.select("#main li")) == 2
@@ -109,6 +126,8 @@ class TestSelectors:
     def test_group_selector(self, doc):
         results = doc.select("h1, footer p")
         assert [node.tag for node in results] == ["h1", "p"]
+        quoted = doc.select('footer > span[title="a b"], h1, footer [data-x="a,b"]')
+        assert [node.tag for node in quoted] == ["h1", "span"]
 
     def test_universal_selector(self, doc):
         assert len(doc.select("#permission-list *")) == 2
@@ -119,8 +138,9 @@ class TestSelectors:
         assert [node.id for node in results[:2]] == ["website-link", "github-link"]
 
     def test_invalid_selector_raises(self, doc):
-        with pytest.raises(ValueError):
-            doc.select("!!!")
+        for selector in ("!!!", "a >", "a > > b", "ul >, li", '[title="unclosed]'):
+            with pytest.raises(ValueError):
+                doc.select(selector)
 
 
 class TestElementHelpers:
